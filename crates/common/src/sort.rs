@@ -20,8 +20,11 @@
 //! * [`merge_runs`] — a galloping merge of two sorted index runs, used
 //!   by the engine's intra-worker parallel sort to combine per-thread
 //!   chunks.
+//! * [`sort_keys`] — the same LSD chain over bare `u64` keys (no row
+//!   buffer, no indices), for callers that pack what they compare into
+//!   one word, such as the §5 distinct-prefix statistics.
 //!
-//! All kernels are *stable-equivalent*: equal rows keep their relative
+//! All index kernels are *stable-equivalent*: equal rows keep their relative
 //! index order, so chunked parallel sorts and the single-threaded path
 //! produce byte-identical gathered relations.
 
@@ -317,6 +320,33 @@ fn scatter_passes_packed(packed: &mut Vec<u64>, digit: u32, shifts: &[u32], hist
     }
 }
 
+/// Sorts plain `u64` keys ascending: the LSD radix chain of
+/// [`sorted_indices_radix`] (balanced digits, constant bits never
+/// scattered) at [`RADIX_MIN_ROWS`] keys and above, `sort_unstable`
+/// below. Equal keys are indistinguishable, so stability is moot.
+pub fn sort_keys(keys: &mut Vec<u64>) {
+    let Some(&first) = keys.first() else {
+        return;
+    };
+    if keys.len() < RADIX_MIN_ROWS {
+        keys.sort_unstable();
+        return;
+    }
+    let vary = keys.iter().fold(0u64, |acc, &k| acc | (k ^ first));
+    if vary == 0 {
+        return; // all keys equal
+    }
+    let (digit, shifts) = digit_plan(vary);
+    let mask = (1u64 << digit) - 1;
+    let mut hists = vec![vec![0u32; 1 << digit]; shifts.len()];
+    for &k in keys.iter() {
+        for (h, &s) in hists.iter_mut().zip(&shifts) {
+            h[((k >> s) & mask) as usize] += 1;
+        }
+    }
+    scatter_passes_packed(keys, digit, &shifts, &hists);
+}
+
 /// Gathers rows into a fresh row-major buffer in `idx` order — the
 /// single output copy of the index-sort pipeline.
 pub fn gather(data: &[Value], arity: usize, idx: &[u32]) -> Vec<Value> {
@@ -458,5 +488,23 @@ mod tests {
         assert_eq!(sorted_indices_radix(&[], 0, 0, 0), Vec::<u32>::new());
         let one = vec![7u64, 8];
         assert_eq!(sorted_indices_radix(&one, 2, 0, 1), vec![0]);
+    }
+
+    #[test]
+    fn sort_keys_matches_std_sort() {
+        for &(n, domain) in &[
+            (0usize, 10u64),
+            (1, 10),
+            (100, 7),
+            (5000, 3),
+            (5000, 1 << 40),
+            (5000, u64::MAX),
+        ] {
+            let mut keys = pseudo_rows(n, 1, domain, n as u64 ^ domain);
+            let mut want = keys.clone();
+            want.sort_unstable();
+            sort_keys(&mut keys);
+            assert_eq!(keys, want, "n {n} domain {domain}");
+        }
     }
 }

@@ -26,15 +26,30 @@ pub struct OrderCostModel {
 
 impl OrderCostModel {
     /// Builds the model from variables-only atoms (e.g. the output of
-    /// selection pushdown). Statistics are computed eagerly, once.
+    /// selection pushdown). Statistics are computed eagerly, once per
+    /// distinct relation (see [`AtomStats::compute_shared`]).
     pub fn from_atoms(atoms: &[(&Relation, Vec<VarId>)]) -> Self {
-        let atoms = atoms
-            .iter()
-            .map(|(rel, vars)| {
-                assert_eq!(rel.arity(), vars.len(), "one variable per column");
-                ((*vars).clone(), AtomStats::compute(rel))
-            })
-            .collect();
+        let rels: Vec<&Relation> = atoms.iter().map(|(rel, _)| *rel).collect();
+        let stats = AtomStats::compute_shared(&rels);
+        OrderCostModel::from_stats(
+            atoms
+                .iter()
+                .map(|(_, vars)| vars.clone())
+                .zip(stats)
+                .collect(),
+        )
+    }
+
+    /// Builds the model from per-atom variables and precomputed
+    /// statistics (the engine's planner computes them once per query and
+    /// shares them with its join-order heuristic).
+    ///
+    /// # Panics
+    /// Panics if an atom's variable count differs from its arity.
+    pub fn from_stats(atoms: Vec<(Vec<VarId>, AtomStats)>) -> Self {
+        for (vars, stats) in &atoms {
+            assert_eq!(stats.arity(), vars.len(), "one variable per column");
+        }
         OrderCostModel { atoms }
     }
 
@@ -54,32 +69,33 @@ impl OrderCostModel {
     pub fn cost(&self, order: &[VarId]) -> f64 {
         // Per-atom running prefix mask.
         let mut masks: Vec<u32> = vec![0; self.atoms.len()];
-        let mut total = 0.0f64;
-        let mut prefix_product = 1.0f64;
+        let mut partial = Partial::START;
         for &var in order {
-            let mut step: f64 = f64::INFINITY;
-            let mut any = false;
-            for (ai, (vars, stats)) in self.atoms.iter().enumerate() {
-                let Some(col) = vars.iter().position(|&v| v == var) else {
-                    continue;
-                };
-                any = true;
-                let new_mask = masks[ai] | (1u32 << col);
-                let denom = stats.distinct(masks[ai]).max(1) as f64;
-                let numer = stats.distinct(new_mask) as f64;
-                step = step.min(numer / denom);
-                masks[ai] = new_mask;
-            }
-            if !any {
-                continue; // variable not joined here; no step
-            }
-            prefix_product *= step;
-            total += prefix_product;
-            if step == 0.0 {
+            partial = partial.extend(self.step(var, &mut masks));
+            if partial.closed {
                 break; // empty intersection: nothing below contributes
             }
         }
-        total
+        partial.total
+    }
+
+    /// Eq. 3's step size `Sᵢ` for appending `var` to the prefix whose
+    /// per-atom column masks are `masks`, which it advances; `None` when
+    /// no atom mentions `var` (no step).
+    pub(super) fn step(&self, var: VarId, masks: &mut [u32]) -> Option<f64> {
+        let mut step: Option<f64> = None;
+        for ((vars, stats), mask) in self.atoms.iter().zip(masks) {
+            let Some(col) = vars.iter().position(|&v| v == var) else {
+                continue;
+            };
+            let new_mask = *mask | (1u32 << col);
+            let denom = stats.distinct(*mask).max(1) as f64;
+            let numer = stats.distinct(new_mask) as f64;
+            let s = numer / denom;
+            step = Some(step.map_or(s, |t| t.min(s)));
+            *mask = new_mask;
+        }
+        step
     }
 
     /// Number of atoms in the model.
@@ -100,6 +116,47 @@ impl OrderCostModel {
             .min_by(|a, b| a.1.total_cmp(&b.1))
             // Documented API contract above. xtask: allow(expect)
             .expect("at least one order")
+    }
+}
+
+/// The Eq. 4 cost of an order prefix: the running sum `Σᵢ Πⱼ≤ᵢ Sⱼ` and
+/// product `Πⱼ≤ᵢ Sⱼ`. [`OrderCostModel::cost`] and the pruned search of
+/// [`best_order`](super::best_order) both extend prefixes through
+/// [`Partial::extend`], so they perform the same floating-point
+/// operations in the same order and agree bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Partial {
+    /// Cost of the prefix.
+    pub total: f64,
+    /// Product of the prefix's step sizes.
+    pub product: f64,
+    /// A zero step was taken: the intersection is empty, and no later
+    /// variable contributes.
+    pub closed: bool,
+}
+
+impl Partial {
+    /// The empty prefix.
+    pub const START: Partial = Partial {
+        total: 0.0,
+        product: 1.0,
+        closed: false,
+    };
+
+    /// The prefix extended by one variable's step (`None`: the variable
+    /// is in no atom and adds nothing).
+    pub fn extend(self, step: Option<f64>) -> Partial {
+        match step {
+            None => self,
+            Some(s) => {
+                let product = self.product * s;
+                Partial {
+                    total: self.total + product,
+                    product,
+                    closed: s == 0.0,
+                }
+            }
+        }
     }
 }
 

@@ -11,9 +11,14 @@
 //! The required statistics — the number of distinct *prefix* values
 //! `V(Rⱼ, p)` — depend only on the projected column **set**, not the
 //! order, so [`AtomStats`] caches all `2^arity` projection counts once per
-//! atom; evaluating one candidate order is then `O(k · atoms)` arithmetic,
-//! which makes exhaustive enumeration over `k!` orders cheap where the
-//! paper sampled 20 random orders.
+//! relation (one chain sort per chain of column prefixes, shared by every
+//! atom over the same relation); evaluating one candidate order is then
+//! `O(k · atoms)` arithmetic. [`best_order`] searches all `k!` orders
+//! depth-first, building each prefix's Eq. 4 partial cost once and
+//! pruning prefixes that already cost as much as the best order found,
+//! which makes the exhaustive search cheap where the paper sampled 20
+//! random orders. [`choose_order`] falls back to the paper's sampling
+//! protocol above [`EXHAUSTIVE_ORDER_LIMIT`] variables.
 
 mod cost;
 mod stats;
@@ -21,41 +26,107 @@ mod stats;
 pub use cost::OrderCostModel;
 pub use stats::AtomStats;
 
+use cost::Partial;
 use parjoin_query::VarId;
+
+/// The most variables [`best_order`] enumerates (10! ≈ 3.6 M orders).
+pub const EXHAUSTIVE_ORDER_LIMIT: usize = 10;
+
+/// Random orders [`choose_order`] evaluates beyond the exhaustive limit:
+/// the paper's Figure 12 protocol.
+pub const SAMPLED_ORDERS: usize = 20;
 
 /// Exhaustively finds the order with the least estimated cost.
 ///
+/// The search walks the orders in recursive swap-permutation order
+/// depth-first, extending each prefix's Eq. 4 partial cost by one step
+/// instead of re-costing whole orders. A prefix whose partial cost
+/// already reaches the best complete cost is pruned: every later term is
+/// non-negative and only a strictly smaller cost replaces the best, so
+/// the result — the first minimum in enumeration order, with a cost
+/// bit-identical to [`OrderCostModel::cost`] — equals evaluating every
+/// permutation.
+///
 /// # Panics
-/// Panics if `vars.len() > 10` (10! ≈ 3.6 M orders is the sensible limit;
-/// use [`OrderCostModel::best_sampled`] beyond that).
+/// Panics if `vars.len() > EXHAUSTIVE_ORDER_LIMIT`; [`choose_order`]
+/// samples instead beyond that.
 pub fn best_order(model: &OrderCostModel, vars: &[VarId]) -> (Vec<VarId>, f64) {
     assert!(
-        vars.len() <= 10,
+        vars.len() <= EXHAUSTIVE_ORDER_LIMIT,
         "exhaustive order search limited to 10 variables"
     );
-    let mut best: Option<(Vec<VarId>, f64)> = None;
-    let mut perm = vars.to_vec();
-    permute(&mut perm, 0, &mut |order| {
-        let c = model.cost(order);
-        if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
-            best = Some((order.to_vec(), c));
-        }
-    });
-    // `permute` invokes the closure at least once (even for an empty
+    let atoms = model.num_atoms();
+    let mut search = OrderSearch {
+        model,
+        order: vars.to_vec(),
+        // One mask row per depth: a prefix's row is copied and advanced
+        // for each child, so backtracking needs no undo.
+        masks: vec![0; atoms * (vars.len() + 1)],
+        atoms,
+        best: None,
+    };
+    search.descend(0, Partial::START);
+    // `descend` reaches at least one complete order (even for an empty
     // variable list), so `best` is always set. xtask: allow(expect)
-    best.expect("at least one order")
+    search.best.expect("at least one order")
 }
 
-/// Heap-style permutation enumeration (recursive swap form).
-fn permute<F: FnMut(&[VarId])>(v: &mut Vec<VarId>, i: usize, f: &mut F) {
-    if i == v.len() {
-        f(v);
-        return;
+/// The best order of `vars`: [`best_order`] up to
+/// [`EXHAUSTIVE_ORDER_LIMIT`] variables, else the cheapest of
+/// [`SAMPLED_ORDERS`] orders drawn by [`sample_orders`] with `seed` (the
+/// paper's Figure 12 protocol).
+pub fn choose_order(model: &OrderCostModel, vars: &[VarId], seed: u64) -> (Vec<VarId>, f64) {
+    if vars.len() <= EXHAUSTIVE_ORDER_LIMIT {
+        best_order(model, vars)
+    } else {
+        model.best_sampled(&sample_orders(vars, SAMPLED_ORDERS, seed))
     }
-    for j in i..v.len() {
-        v.swap(i, j);
-        permute(v, i + 1, f);
-        v.swap(i, j);
+}
+
+/// State of [`best_order`]'s depth-first search.
+struct OrderSearch<'m> {
+    model: &'m OrderCostModel,
+    /// The permutation being built (positions `< depth` are fixed).
+    order: Vec<VarId>,
+    /// Per-depth rows of per-atom prefix masks.
+    masks: Vec<u32>,
+    atoms: usize,
+    best: Option<(Vec<VarId>, f64)>,
+}
+
+impl OrderSearch<'_> {
+    fn descend(&mut self, depth: usize, prefix: Partial) {
+        if depth == self.order.len() {
+            self.offer(prefix.total);
+            return;
+        }
+        if self.best.as_ref().is_some_and(|(_, b)| prefix.total >= *b) {
+            return; // no completion can cost strictly less
+        }
+        let (a, row) = (self.atoms, depth * self.atoms);
+        for j in depth..self.order.len() {
+            self.order.swap(depth, j);
+            self.masks.copy_within(row..row + a, row + a);
+            let step = self
+                .model
+                .step(self.order[depth], &mut self.masks[row + a..row + 2 * a]);
+            let next = prefix.extend(step);
+            if next.closed {
+                // Nothing below contributes: every completion costs the
+                // same, and the first one is the order as it stands.
+                self.offer(next.total);
+            } else {
+                self.descend(depth + 1, next);
+            }
+            self.order.swap(depth, j);
+        }
+    }
+
+    /// Records the current order if it is strictly cheaper than the best.
+    fn offer(&mut self, cost: f64) {
+        if self.best.as_ref().is_none_or(|(_, b)| cost < *b) {
+            self.best = Some((self.order.clone(), cost));
+        }
     }
 }
 
@@ -85,6 +156,33 @@ pub fn sample_orders(vars: &[VarId], n: usize, seed: u64) -> Vec<Vec<VarId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parjoin_common::Relation;
+
+    /// Heap-style permutation enumeration (recursive swap form) — the
+    /// order [`best_order`]'s search walks.
+    fn permute<F: FnMut(&[VarId])>(v: &mut Vec<VarId>, i: usize, f: &mut F) {
+        if i == v.len() {
+            f(v);
+            return;
+        }
+        for j in i..v.len() {
+            v.swap(i, j);
+            permute(v, i + 1, f);
+            v.swap(i, j);
+        }
+    }
+
+    /// Evaluates every permutation; keeps the first strict minimum.
+    fn brute_force(model: &OrderCostModel, vars: &[VarId]) -> (Vec<VarId>, f64) {
+        let mut best: Option<(Vec<VarId>, f64)> = None;
+        permute(&mut vars.to_vec(), 0, &mut |o| {
+            let c = model.cost(o);
+            if best.as_ref().is_none_or(|(_, b)| c < *b) {
+                best = Some((o.to_vec(), c));
+            }
+        });
+        best.unwrap()
+    }
 
     fn vs(n: u32) -> Vec<VarId> {
         (0..n).map(VarId).collect()
@@ -123,5 +221,59 @@ mod tests {
     fn sample_orders_deterministic() {
         assert_eq!(sample_orders(&vs(6), 5, 7), sample_orders(&vs(6), 5, 7));
         assert_ne!(sample_orders(&vs(6), 5, 7), sample_orders(&vs(6), 5, 8));
+    }
+
+    fn rel(rows: &[[u64; 2]]) -> Relation {
+        Relation::from_rows(2, rows.iter())
+    }
+
+    #[test]
+    fn pruned_search_matches_brute_force() {
+        // A 5-cycle with skewed, empty and uniform edges: ties, zero
+        // steps and pruning all occur.
+        let hub: Vec<[u64; 2]> = (0..40u64).map(|i| [i % 3, i]).collect();
+        let uni: Vec<[u64; 2]> = (0..40u64).map(|i| [i, (i * 7) % 40]).collect();
+        let (hub, uni, empty) = (rel(&hub), rel(&uni), Relation::new(2));
+        for rels in [
+            [&hub, &uni, &hub, &uni, &hub],
+            [&uni, &uni, &uni, &uni, &uni],
+            [&hub, &empty, &uni, &hub, &uni],
+        ] {
+            let atoms: Vec<(&Relation, Vec<VarId>)> = (0..5u32)
+                .map(|i| (rels[i as usize], vec![VarId(i), VarId((i + 1) % 5)]))
+                .collect();
+            let model = OrderCostModel::from_atoms(&atoms);
+            let (order, cost) = best_order(&model, &vs(5));
+            let (want, want_cost) = brute_force(&model, &vs(5));
+            assert_eq!(order, want);
+            assert_eq!(cost.to_bits(), want_cost.to_bits());
+        }
+    }
+
+    #[test]
+    fn empty_variable_list_has_zero_cost() {
+        let model = OrderCostModel::from_atoms(&[]);
+        assert_eq!(best_order(&model, &[]), (vec![], 0.0));
+    }
+
+    #[test]
+    fn choose_order_samples_beyond_the_limit() {
+        let r = rel(&[[1, 2], [2, 3], [3, 1]]);
+        let atoms: Vec<(&Relation, Vec<VarId>)> = (0..11u32)
+            .map(|i| (&r, vec![VarId(i), VarId(i + 1)]))
+            .collect();
+        let model = OrderCostModel::from_atoms(&atoms);
+        let vars = vs(12);
+        let (order, cost) = choose_order(&model, &vars, 9);
+        assert_eq!(
+            (order, cost),
+            model.best_sampled(&sample_orders(&vars, SAMPLED_ORDERS, 9))
+        );
+        let small = &vars[..EXHAUSTIVE_ORDER_LIMIT];
+        let small_model = OrderCostModel::from_atoms(&atoms[..EXHAUSTIVE_ORDER_LIMIT - 1]);
+        assert_eq!(
+            choose_order(&small_model, small, 9),
+            best_order(&small_model, small)
+        );
     }
 }

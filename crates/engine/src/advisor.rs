@@ -28,6 +28,7 @@ use crate::plans::{JoinAlg, ShuffleAlg};
 use parjoin_analyze::{self as analyze, Diagnostic};
 use parjoin_common::{Database, Relation};
 use parjoin_core::hypercube::{AtomShape, HcConfig, ShareProblem};
+use parjoin_core::order::AtomStats;
 use parjoin_query::{resolve_atoms, ConjunctiveQuery, VarId};
 
 /// The advisor's verdict: a configuration plus its cost estimates.
@@ -71,35 +72,16 @@ struct AtomInfo {
     top_freq: Vec<f64>,
 }
 
-fn atom_info(rel: &Relation, vars: &[VarId]) -> AtomInfo {
-    let mut distinct = Vec::with_capacity(vars.len());
-    let mut top_freq = Vec::with_capacity(vars.len());
-    for c in 0..rel.arity() {
-        let col = rel.project(&[c]);
-        let mut sorted = col.clone();
-        sorted.sort_lex();
-        let mut best = 0u64;
-        let mut run = 0u64;
-        let mut prev: Option<u64> = None;
-        let mut d = 0u64;
-        for row in sorted.rows() {
-            if prev == Some(row[0]) {
-                run += 1;
-            } else {
-                d += 1;
-                run = 1;
-                prev = Some(row[0]);
-            }
-            best = best.max(run);
-        }
-        distinct.push(d.max(1) as f64);
-        top_freq.push(best as f64);
-    }
+fn atom_info(card: usize, stats: &AtomStats, vars: &[VarId]) -> AtomInfo {
     AtomInfo {
         vars: vars.to_vec(),
-        card: rel.len() as f64,
-        distinct,
-        top_freq,
+        card: card as f64,
+        distinct: (0..vars.len())
+            .map(|c| stats.distinct(1 << c).max(1) as f64)
+            .collect(),
+        top_freq: (0..vars.len())
+            .map(|c| stats.top_frequency(c) as f64)
+            .collect(),
     }
 }
 
@@ -234,9 +216,13 @@ fn estimate_hc(query: &ConjunctiveQuery, atoms: &[AtomInfo], workers: usize) -> 
 pub fn advise(query: &ConjunctiveQuery, db: &Database, cluster: &Cluster) -> Advice {
     // Documented API contract (see `# Panics`). xtask: allow(expect)
     let (resolved, _) = resolve_atoms(query, db).expect("query resolves against catalog");
+    // One statistics pass per distinct relation: a self-join's atoms
+    // share their base relation's.
+    let rels: Vec<&Relation> = resolved.iter().map(|a| a.rel.as_ref()).collect();
     let infos: Vec<AtomInfo> = resolved
         .iter()
-        .map(|a| atom_info(a.rel.as_ref(), &a.vars))
+        .zip(&AtomStats::compute_shared(&rels))
+        .map(|(a, stats)| atom_info(a.len(), stats, &a.vars))
         .collect();
     let workers = cluster.workers;
 

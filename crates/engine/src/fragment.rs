@@ -22,13 +22,12 @@
 use crate::cluster::Cluster;
 use crate::dist::DistRel;
 use crate::error::EngineError;
-use crate::plans::{greedy_join_order, rooted_order, JoinAlg, PlanOptions, ShuffleAlg, TrieLayout};
+use crate::plans::{plan_global, JoinAlg, PlanOptions, ShuffleAlg, TrieLayout};
 use parjoin_analyze as analyze;
 use parjoin_common::wire::control::{self, ControlError, PayloadReader};
 use parjoin_common::wire::{decode_batch_into, encode_relation};
 use parjoin_common::{Relation, WireFormat};
-use parjoin_core::hypercube::{AtomShape, HcConfig, ShareProblem};
-use parjoin_core::order::{best_order, OrderCostModel};
+use parjoin_core::hypercube::HcConfig;
 use parjoin_query::{resolve_atoms, Atom, CmpOp, ConjunctiveQuery, Filter, Operand, Term, VarId};
 
 /// One rank's share of a distributed plan, self-contained and
@@ -538,12 +537,12 @@ impl Fragment {
 }
 
 /// Plans `query` for remote execution: makes every global decision the
-/// local `run_config` path would make (effective join order, Tributary
-/// variable order on the *pre-shuffle* seeded relations, HyperCube
-/// shares, broadcast root, probe threads), vets the plan with the
-/// pre-flight analyzer (and, with [`PlanOptions::certify`], the policy
-/// certifier), round-robin-seeds the base relations, and returns one
-/// [`Fragment`] per rank.
+/// local `run_config` path makes, through the same planner (effective
+/// join order, Tributary variable order on the *pre-shuffle* resolved
+/// relations, HyperCube shares, broadcast root, probe threads), vets
+/// the plan with the pre-flight analyzer (and, with
+/// [`PlanOptions::certify`], the policy certifier), round-robin-seeds
+/// the base relations, and returns one [`Fragment`] per rank.
 ///
 /// `data_addrs[r]` must be rank `r`'s data-plane listener address.
 ///
@@ -588,26 +587,19 @@ pub fn plan_fragments(
     }
 
     let (resolved, _residual) = resolve_atoms(query, db)?;
-    let atom_vars: Vec<Vec<VarId>> = resolved.iter().map(|a| a.vars.clone()).collect();
-    let cards: Vec<u64> = resolved.iter().map(|a| a.len() as u64).collect();
-    let join_order = opts.join_order.clone().unwrap_or_else(|| {
-        let shapes: Vec<(Vec<VarId>, &Relation)> = resolved
-            .iter()
-            .map(|a| (a.vars.clone(), a.rel.as_ref()))
-            .collect();
-        greedy_join_order(&shapes)
-    });
+    // The same global decisions the local executor makes (one planner).
+    let plan = plan_global(query, &resolved, cluster, shuffle_alg, join_alg, opts);
 
     // The same pre-flight gate `run_config` applies, on the same spec —
     // the *effective* join order is what gets vetted.
     let spec = analyze::PlanSpec {
         query,
-        cards: cards.clone(),
+        cards: plan.cards.clone(),
         workers: cluster.workers,
         memory_budget: cluster.memory_budget,
         shuffle: shuffle_alg.into(),
         join: join_alg.into(),
-        join_order: Some(join_order.clone()),
+        join_order: Some(plan.join_order.clone()),
         hc_config: opts.hc_config.clone(),
         tj_order: opts.tj_order.clone(),
         batch_tuples: Some(cluster.batch_tuples as u64),
@@ -630,51 +622,6 @@ pub fn plan_fragments(
         .map(|a| DistRel::round_robin(&a.rel, a.vars.clone(), cluster.workers))
         .collect();
 
-    // Global plan decisions, computed exactly as the local executor
-    // computes them (run_one_round): the Tributary order is optimized on
-    // the gathered *pre-shuffle* relations so statistics see no
-    // replication; broadcast roots the local tree at the largest atom.
-    let tj_order: Option<Vec<VarId>> =
-        if join_alg == JoinAlg::Tributary && shuffle_alg != ShuffleAlg::Regular {
-            Some(opts.tj_order.clone().unwrap_or_else(|| {
-                let gathered: Vec<Relation> = seeded.iter().map(|d| d.gather()).collect();
-                let model_atoms: Vec<(&Relation, Vec<VarId>)> = gathered
-                    .iter()
-                    .zip(&atom_vars)
-                    .map(|(r, vs)| (r, vs.clone()))
-                    .collect();
-                let model = OrderCostModel::from_atoms(&model_atoms);
-                best_order(&model, &query.all_vars()).0
-            }))
-        } else {
-            None
-        };
-    let local_order = if shuffle_alg == ShuffleAlg::Broadcast {
-        // Queries have at least one atom (parser and analyzer both
-        // enforce it), so the argmax exists; 0 is unreachable.
-        let largest = (0..cards.len()).max_by_key(|&i| cards[i]).unwrap_or(0);
-        rooted_order(&atom_vars, largest)
-    } else {
-        join_order.clone()
-    };
-    let hc_config: Option<HcConfig> = if shuffle_alg == ShuffleAlg::HyperCube {
-        Some(opts.hc_config.clone().unwrap_or_else(|| {
-            let problem = ShareProblem {
-                vars: query.all_vars(),
-                atoms: atom_vars
-                    .iter()
-                    .zip(&cards)
-                    .map(|(vs, &c)| AtomShape {
-                        vars: vs.clone(),
-                        cardinality: c,
-                    })
-                    .collect(),
-            };
-            problem.optimize(cluster.workers)
-        }))
-    } else {
-        None
-    };
     let probe_threads = opts.effective_probe_threads(cluster.workers) as u32;
     let host_cores = parjoin_common::threads::host_parallelism().map(|c| c as u64);
 
@@ -692,13 +639,13 @@ pub fn plan_fragments(
             probe_threads,
             memory_budget: cluster.memory_budget,
             host_cores,
-            join_order: join_order.clone(),
-            local_order: local_order.clone(),
-            tj_order: tj_order.clone(),
-            hc_config: hc_config.clone(),
-            cards: cards.clone(),
+            join_order: plan.join_order.clone(),
+            local_order: plan.local_order.clone(),
+            tj_order: plan.tj_order.clone(),
+            hc_config: plan.hc_config.clone(),
+            cards: plan.cards.clone(),
             query: query.clone(),
-            atom_vars: atom_vars.clone(),
+            atom_vars: plan.atom_vars.clone(),
             parts: seeded.iter().map(|d| d.parts[rank].clone()).collect(),
             data_addrs: data_addrs.to_vec(),
         })

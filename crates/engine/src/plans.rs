@@ -32,11 +32,11 @@ use crate::sortcache::{Lookup, Provenance, SortCache};
 use crate::triecache::TrieCache;
 use parjoin_analyze::{self as analyze, Diagnostic};
 use parjoin_common::{Relation, ShuffleStats};
-use parjoin_core::hypercube::{HcConfig, ShareProblem};
-use parjoin_core::order::{best_order, OrderCostModel};
+use parjoin_core::hypercube::{AtomShape, HcConfig, ShareProblem};
+use parjoin_core::order::{choose_order, AtomStats, OrderCostModel};
 use parjoin_core::tributary::{ColumnarAtom, ColumnarTrie, SortedAtom, Tributary};
 use parjoin_obs::{Registry, TraceSink, COORDINATOR_LANE};
-use parjoin_query::{resolve_atoms, ConjunctiveQuery, Filter, VarId};
+use parjoin_query::{resolve_atoms, ConjunctiveQuery, Filter, ResolvedAtom, VarId};
 use parjoin_runtime::{Runtime, RuntimeConfig, RuntimeObs};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -805,19 +805,18 @@ pub fn default_join_order(atom_vars: &[Vec<VarId>], cards: &[u64]) -> Vec<usize>
 /// queries like Q3, where a selective `ObjectName` atom must be joined in
 /// as soon as its variable binds; fanout ordering pulls low-multiplicity
 /// extensions (and selections) forward, like the paper's Figure 5 plan.
-pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
-    let n = atoms.len();
-    // Distinct counts per (atom, column).
-    let distinct: Vec<Vec<f64>> = atoms
-        .iter()
-        .map(|(vars, rel)| {
-            (0..vars.len())
-                .map(|c| rel.project(&[c]).distinct().len().max(1) as f64)
-                .collect()
-        })
-        .collect();
-    let card = |i: usize| atoms[i].1.len() as f64;
-
+///
+/// `atom_vars[i]`, `cards[i]` and `stats[i]` describe atom `i`: its
+/// variables, its row count and its relation's distinct-projection
+/// statistics (the per-column distinct counts are read from them).
+pub fn greedy_join_order(
+    atom_vars: &[Vec<VarId>],
+    cards: &[u64],
+    stats: &[AtomStats],
+) -> Vec<usize> {
+    let n = atom_vars.len();
+    let distinct = |i: usize, c: usize| stats[i].distinct(1 << c).max(1) as f64;
+    let card = |i: usize| cards[i] as f64;
     let mut remaining: Vec<usize> = (0..n).collect();
     // total_cmp needs no finiteness assumption (scores can be +inf for
     // disconnected atoms), and resolved queries have at least one atom.
@@ -827,15 +826,15 @@ pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
         .expect("at least one atom"); // xtask: allow(expect)
     let mut order = vec![first];
     remaining.retain(|&i| i != first);
-    let mut bound: Vec<VarId> = atoms[first].0.clone();
+    let mut bound: Vec<VarId> = atom_vars[first].clone();
     while !remaining.is_empty() {
         let score = |i: usize| -> f64 {
-            let (vars, _) = &atoms[i];
+            let vars = &atom_vars[i];
             let shared_distinct: f64 = vars
                 .iter()
                 .enumerate()
                 .filter(|(_, v)| bound.contains(v))
-                .map(|(c, _)| distinct[i][c])
+                .map(|(c, _)| distinct(i, c))
                 .product();
             if shared_distinct <= 1.0 && !vars.iter().any(|v| bound.contains(v)) {
                 // Disconnected: cartesian product, worst possible.
@@ -846,7 +845,7 @@ pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
         };
         let connected_exists = remaining
             .iter()
-            .any(|&i| atoms[i].0.iter().any(|v| bound.contains(v)));
+            .any(|&i| atom_vars[i].iter().any(|v| bound.contains(v)));
         let next = *remaining
             .iter()
             .min_by(|&&a, &&b| {
@@ -865,7 +864,7 @@ pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
         };
         order.push(next);
         remaining.retain(|&i| i != next);
-        for &v in &atoms[next].0 {
+        for &v in &atom_vars[next] {
             if !bound.contains(&v) {
                 bound.push(v);
             }
@@ -896,6 +895,104 @@ pub(crate) fn rooted_order(atom_vars: &[Vec<VarId>], root: usize) -> Vec<usize> 
         }
     }
     order
+}
+
+/// A plan's global decisions, made once on the coordinator from the
+/// resolved atoms. [`run_config`] and [`plan_fragments`] both take them
+/// from [`plan_global`], so local and remote runs execute the same plan.
+///
+/// [`plan_fragments`]: crate::fragment::plan_fragments
+pub(crate) struct GlobalPlan {
+    /// Variables of each resolved atom.
+    pub atom_vars: Vec<Vec<VarId>>,
+    /// Row count of each resolved atom.
+    pub cards: Vec<u64>,
+    /// The effective (explicit or fanout-greedy) left-deep join order.
+    pub join_order: Vec<usize>,
+    /// The order of the local join tree: the join order, except that a
+    /// broadcast plan roots it at the partitioned (largest) atom.
+    pub local_order: Vec<usize>,
+    /// The Tributary variable order of a one-round Tributary plan.
+    pub tj_order: Option<Vec<VarId>>,
+    /// The HyperCube shares of a HyperCube plan.
+    pub hc_config: Option<HcConfig>,
+}
+
+/// Makes the global decisions of `query`'s plan (see [`GlobalPlan`]).
+///
+/// Explicit choices in `opts` win. The rest come from one set of
+/// distinct-projection statistics, computed once per distinct resolved
+/// relation (a self-join's atoms share their base relation's) and read
+/// by both the fanout-greedy join order and the §5 cost model; the
+/// Tributary order is searched exhaustively up to
+/// [`EXHAUSTIVE_ORDER_LIMIT`](parjoin_core::order::EXHAUSTIVE_ORDER_LIMIT)
+/// variables and sampled beyond (see [`choose_order`]). The statistics
+/// are taken on the resolved relations themselves, before any shuffle,
+/// so they see no replication.
+pub(crate) fn plan_global(
+    query: &ConjunctiveQuery,
+    resolved: &[ResolvedAtom<'_>],
+    cluster: &Cluster,
+    shuffle_alg: ShuffleAlg,
+    join_alg: JoinAlg,
+    opts: &PlanOptions,
+) -> GlobalPlan {
+    let atom_vars: Vec<Vec<VarId>> = resolved.iter().map(|a| a.vars.clone()).collect();
+    let cards: Vec<u64> = resolved.iter().map(|a| a.len() as u64).collect();
+    let one_round_tj = shuffle_alg != ShuffleAlg::Regular && join_alg == JoinAlg::Tributary;
+    let stats: Vec<AtomStats> =
+        if opts.join_order.is_none() || (one_round_tj && opts.tj_order.is_none()) {
+            let rels: Vec<&Relation> = resolved.iter().map(|a| a.rel.as_ref()).collect();
+            AtomStats::compute_shared(&rels)
+        } else {
+            Vec::new()
+        };
+    let join_order = opts
+        .join_order
+        .clone()
+        .unwrap_or_else(|| greedy_join_order(&atom_vars, &cards, &stats));
+    let local_order = if shuffle_alg == ShuffleAlg::Broadcast {
+        // Root the local hash tree at the partitioned fragment so every
+        // worker's intermediates stay ~1/p-sized (the broadcast plan's
+        // whole point); full-copy atoms only extend it. This mirrors
+        // Myria's fact-table-first broadcast plans. Queries have at
+        // least one atom (parser and analyzer both enforce it), so the
+        // argmax exists; 0 is unreachable.
+        let largest = (0..cards.len()).max_by_key(|&i| cards[i]).unwrap_or(0);
+        rooted_order(&atom_vars, largest)
+    } else {
+        join_order.clone()
+    };
+    let tj_order = one_round_tj.then(|| {
+        opts.tj_order.clone().unwrap_or_else(|| {
+            let model = OrderCostModel::from_stats(atom_vars.iter().cloned().zip(stats).collect());
+            choose_order(&model, &query.all_vars(), cluster.seed).0
+        })
+    });
+    let hc_config = (shuffle_alg == ShuffleAlg::HyperCube).then(|| {
+        opts.hc_config.clone().unwrap_or_else(|| {
+            let problem = ShareProblem {
+                vars: query.all_vars(),
+                atoms: atom_vars
+                    .iter()
+                    .zip(&cards)
+                    .map(|(vs, &c)| AtomShape {
+                        vars: vs.clone(),
+                        cardinality: c,
+                    })
+                    .collect(),
+            };
+            problem.optimize(cluster.workers)
+        })
+    });
+    GlobalPlan {
+        atom_vars,
+        cards,
+        join_order,
+        local_order,
+        tj_order,
+        hc_config,
+    }
 }
 
 fn check_budget(cluster: &Cluster, worker: usize, needed: u64) -> Result<(), EngineError> {
@@ -977,15 +1074,7 @@ pub(crate) fn run_config_with_obs(
     obs: &RunObs,
 ) -> Result<RunResult, EngineError> {
     let (resolved, residual) = resolve_atoms(query, db)?;
-    let atom_vars: Vec<Vec<VarId>> = resolved.iter().map(|a| a.vars.clone()).collect();
-    let cards: Vec<u64> = resolved.iter().map(|a| a.len() as u64).collect();
-    let join_order = opts.join_order.clone().unwrap_or_else(|| {
-        let shapes: Vec<(Vec<VarId>, &Relation)> = resolved
-            .iter()
-            .map(|a| (a.vars.clone(), a.rel.as_ref()))
-            .collect();
-        greedy_join_order(&shapes)
-    });
+    let plan = plan_global(query, &resolved, cluster, shuffle_alg, join_alg, opts);
     let name = format!("{}_{}", shuffle_alg.tag(), join_alg.tag());
     let mut result = RunResult::new(name, cluster.workers);
 
@@ -995,12 +1084,12 @@ pub(crate) fn run_config_with_obs(
     // greedy — is what gets vetted.
     let spec = analyze::PlanSpec {
         query,
-        cards: cards.clone(),
+        cards: plan.cards.clone(),
         workers: cluster.workers,
         memory_budget: cluster.memory_budget,
         shuffle: shuffle_alg.into(),
         join: join_alg.into(),
-        join_order: Some(join_order.clone()),
+        join_order: Some(plan.join_order.clone()),
         hc_config: opts.hc_config.clone(),
         tj_order: opts.tj_order.clone(),
         batch_tuples: cluster
@@ -1092,7 +1181,7 @@ pub(crate) fn run_config_with_obs(
             cluster,
             join_alg,
             opts,
-            &join_order,
+            &plan.join_order,
             seeded,
             residual,
             rt.as_ref(),
@@ -1105,9 +1194,7 @@ pub(crate) fn run_config_with_obs(
             shuffle_alg,
             join_alg,
             opts,
-            &atom_vars,
-            &cards,
-            &join_order,
+            &plan,
             seeded,
             residual,
             rt.as_ref(),
@@ -1382,9 +1469,7 @@ fn run_one_round(
     shuffle_alg: ShuffleAlg,
     join_alg: JoinAlg,
     opts: &PlanOptions,
-    atom_vars: &[Vec<VarId>],
-    cards: &[u64],
-    local_order: &[usize],
+    plan: &GlobalPlan,
     seeded: Vec<DistRel>,
     pending: Vec<Filter>,
     rt: Option<&Runtime>,
@@ -1392,38 +1477,13 @@ fn run_one_round(
     route_sigs: Option<&[String]>,
     result: &mut RunResult,
 ) -> Result<(), EngineError> {
-    // Tributary global variable order (cost-model optimized once on the
-    // global resolved relations, as the paper's optimizer would; computed
-    // before the shuffle so statistics see no replication).
-    let tj_order: Option<Vec<VarId>> = if join_alg == JoinAlg::Tributary {
-        Some(opts.tj_order.clone().unwrap_or_else(|| {
-            let gathered: Vec<Relation> = seeded.iter().map(|d| d.gather()).collect();
-            let model_atoms: Vec<(&Relation, Vec<VarId>)> = gathered
-                .iter()
-                .zip(atom_vars)
-                .map(|(r, vs)| (r, vs.clone()))
-                .collect();
-            let model = OrderCostModel::from_atoms(&model_atoms);
-            best_order(&model, &query.all_vars()).0
-        }))
-    } else {
-        None
-    };
-
     // --- The single communication round. --------------------------------
-    let mut local_order: Vec<usize> = local_order.to_vec();
+    let local_order = &plan.local_order;
     let shuffled: Vec<DistRel> = match shuffle_alg {
         ShuffleAlg::Broadcast => {
-            // Queries have at least one atom (the parser and analyzer
-            // both enforce it), so the max exists.
-            let largest = (0..cards.len())
-                .max_by_key(|&i| cards[i])
-                .expect("at least one atom"); // xtask: allow(expect)
-                                              // Root the local hash tree at the partitioned fragment so
-                                              // every worker's intermediates stay ~1/p-sized (the broadcast
-                                              // plan's whole point); full-copy atoms only extend it. This
-                                              // mirrors Myria's fact-table-first broadcast plans.
-            local_order = rooted_order(atom_vars, largest);
+            // The local tree is rooted at the largest atom, which stays
+            // partitioned; every other atom is broadcast.
+            let largest = local_order[0];
             let mut out = Vec::with_capacity(seeded.len());
             for (i, d) in seeded.into_iter().enumerate() {
                 if i == largest {
@@ -1441,27 +1501,14 @@ fn run_one_round(
             out
         }
         ShuffleAlg::HyperCube => {
-            let problem = ShareProblem {
-                vars: query.all_vars(),
-                atoms: atom_vars
-                    .iter()
-                    .zip(cards)
-                    .map(|(vs, &c)| parjoin_core::hypercube::AtomShape {
-                        vars: vs.clone(),
-                        cardinality: c,
-                    })
-                    .collect(),
-            };
-            let config = opts
-                .hc_config
-                .clone()
-                .unwrap_or_else(|| problem.optimize(cluster.workers));
+            // Computed by `plan_global` for every HyperCube plan.
+            let config = plan.hc_config.as_ref().expect("HyperCube shares planned"); // xtask: allow(expect)
             result.hc_config = Some(config.clone());
             let mut out = Vec::with_capacity(seeded.len());
             for (i, d) in seeded.into_iter().enumerate() {
                 let (hc, stats) = shuffle::hypercube_via(
                     &d,
-                    &config,
+                    config,
                     format!("HCS {}", query.atoms[i].relation),
                     cluster.seed,
                     rt,
@@ -1516,15 +1563,15 @@ fn run_one_round(
     let probe_threads = opts.effective_probe_threads(cluster.workers);
     let budget = cluster.memory_budget;
     let phase = run_phase_traced(cluster.workers, &obs.trace, "local-join", |w, lane| {
-        let locals: Vec<SchemaRel> = shuffled
-            .iter()
-            .map(|d| SchemaRel {
-                vars: d.vars.clone(),
-                rel: d.parts[w].clone(),
-            })
-            .collect();
         match join_alg {
             JoinAlg::Hash => {
+                let locals: Vec<SchemaRel> = shuffled
+                    .iter()
+                    .map(|d| SchemaRel {
+                        vars: d.vars.clone(),
+                        rel: d.parts[w].clone(),
+                    })
+                    .collect();
                 let mut pending = pending.clone();
                 let mut cur = locals[local_order[0]].clone();
                 let ready0 = take_ready_filters(&mut pending, &cur.vars);
@@ -1556,8 +1603,9 @@ fn run_one_round(
                 (out.rel, tally)
             }
             JoinAlg::Tributary => {
-                // Computed unconditionally above for Tributary plans.
-                let order = tj_order.as_ref().expect("TJ order computed"); // xtask: allow(expect)
+                // Computed by `plan_global` for every one-round Tributary
+                // plan. xtask: allow(expect)
+                let order = plan.tj_order.as_ref().expect("TJ order planned");
                 let mut tally = JoinTally::default();
                 // A view (or trie) too large for a worker's memory budget
                 // is returned but never cached — the budget bounds what
@@ -1613,22 +1661,27 @@ fn run_one_round(
                 let t_sort = std::time::Instant::now();
                 let probed = match opts.trie_layout {
                     TrieLayout::Row => {
-                        let prepared: Vec<SortedAtom> = locals
+                        let prepared: Vec<SortedAtom> = shuffled
                             .iter()
                             .enumerate()
-                            .map(|(i, l)| {
+                            .map(|(i, d)| {
                                 if opts.sequential_prepare {
-                                    SortedAtom::prepare(&l.rel, &l.vars, order)
+                                    SortedAtom::prepare(&d.parts[w], &d.vars, order)
                                 } else {
-                                    SortedAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
-                                        cached_view(
-                                            &mut tally,
-                                            r.fingerprint(),
-                                            r,
-                                            cols,
-                                            prov_for(i),
-                                        )
-                                    })
+                                    SortedAtom::prepare_with(
+                                        &d.parts[w],
+                                        &d.vars,
+                                        order,
+                                        |r, cols| {
+                                            cached_view(
+                                                &mut tally,
+                                                r.fingerprint(),
+                                                r,
+                                                cols,
+                                                prov_for(i),
+                                            )
+                                        },
+                                    )
                                 }
                             })
                             .collect();
@@ -1649,46 +1702,53 @@ fn run_one_round(
                         probed
                     }
                     TrieLayout::Columnar => {
-                        let prepared: Vec<ColumnarAtom> = locals
+                        let prepared: Vec<ColumnarAtom> = shuffled
                             .iter()
                             .enumerate()
-                            .map(|(i, l)| {
+                            .map(|(i, d)| {
                                 if opts.sequential_prepare {
-                                    ColumnarAtom::prepare(&l.rel, &l.vars, order)
+                                    ColumnarAtom::prepare(&d.parts[w], &d.vars, order)
                                 } else {
-                                    ColumnarAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
-                                        let fp = r.fingerprint();
-                                        let prov = prov_for(i);
-                                        // SortCache first — the sorted
-                                        // view stays shared with row-
-                                        // layout and merge-join
-                                        // consumers of the same
-                                        // fragment…
-                                        let view =
-                                            cached_view(&mut tally, fp, r, cols, prov.clone());
-                                        // …then the TrieCache layered
-                                        // on top, reusing the whole
-                                        // prepared trie across queries
-                                        // under the same key
-                                        // discipline.
-                                        let cap = entry_cap(cols);
-                                        let build = || ColumnarTrie::build(&view);
-                                        let (trie, lookup, cert) = match prov {
-                                            Some(p) => TrieCache::global()
-                                                .get_or_build_certified(fp, cols, cap, p, build),
-                                            None => {
-                                                let (t, l) = TrieCache::global()
-                                                    .get_or_build(fp, cols, cap, build);
-                                                (t, l, false)
+                                    ColumnarAtom::prepare_with(
+                                        &d.parts[w],
+                                        &d.vars,
+                                        order,
+                                        |r, cols| {
+                                            let fp = r.fingerprint();
+                                            let prov = prov_for(i);
+                                            // SortCache first — the sorted
+                                            // view stays shared with row-
+                                            // layout and merge-join
+                                            // consumers of the same
+                                            // fragment…
+                                            let view =
+                                                cached_view(&mut tally, fp, r, cols, prov.clone());
+                                            // …then the TrieCache layered
+                                            // on top, reusing the whole
+                                            // prepared trie across queries
+                                            // under the same key
+                                            // discipline.
+                                            let cap = entry_cap(cols);
+                                            let build = || ColumnarTrie::build(&view);
+                                            let (trie, lookup, cert) = match prov {
+                                                Some(p) => TrieCache::global()
+                                                    .get_or_build_certified(
+                                                        fp, cols, cap, p, build,
+                                                    ),
+                                                None => {
+                                                    let (t, l) = TrieCache::global()
+                                                        .get_or_build(fp, cols, cap, build);
+                                                    (t, l, false)
+                                                }
+                                            };
+                                            tally.trie_cache_certified += u64::from(cert);
+                                            match lookup {
+                                                Lookup::Hit => tally.trie_cache_hits += 1,
+                                                Lookup::Miss => tally.trie_cache_misses += 1,
                                             }
-                                        };
-                                        tally.trie_cache_certified += u64::from(cert);
-                                        match lookup {
-                                            Lookup::Hit => tally.trie_cache_hits += 1,
-                                            Lookup::Miss => tally.trie_cache_misses += 1,
-                                        }
-                                        trie
-                                    })
+                                            trie
+                                        },
+                                    )
                                 }
                             })
                             .collect();
@@ -1713,7 +1773,10 @@ fn run_one_round(
                 };
                 tally.morsels = probed.morsels;
                 tally.steals = probed.steals;
-                tally.live = locals.iter().map(|l| 2 * l.rel.len() as u64).sum::<u64>()
+                tally.live = shuffled
+                    .iter()
+                    .map(|d| 2 * d.parts[w].len() as u64)
+                    .sum::<u64>()
                     + probed.rel.len() as u64;
                 (probed.rel, tally)
             }
@@ -1722,12 +1785,12 @@ fn run_one_round(
 
     let mut outputs = Vec::with_capacity(cluster.workers);
     let mut sort_times = Vec::with_capacity(cluster.workers);
-    for (w, (rel, t)) in phase.results.iter().enumerate() {
+    for (w, (rel, t)) in phase.results.into_iter().enumerate() {
         check_budget(cluster, w, t.live)?;
         result.peak_worker_tuples = result.peak_worker_tuples.max(t.live);
         result.probe_morsels += t.morsels;
         result.probe_steals += t.steals;
-        outputs.push(rel.clone());
+        outputs.push(rel);
         sort_times.push(t.sort_time);
         result.sort_cache_hits += t.sort_cache_hits;
         result.sort_cache_misses += t.sort_cache_misses;

@@ -115,19 +115,43 @@ pub(crate) fn broadcast_router(workers: usize) -> Router {
 }
 
 /// Builds the HyperCube [`Router`] for a relation with schema `vars`
-/// under `config`. Shared by `hypercube_via` and remote fragment
-/// execution so both hash coordinates with the same per-dimension seeds.
+/// under `config`: hash the dimensions the atom pins (an independent
+/// `hᵢ` per dimension), enumerate the slab over the free ones
+/// (mixed-radix order, the first free dimension fastest). Shared by
+/// `hypercube_via` and remote fragment execution so both route rows
+/// identically.
+///
+/// Cell indices are linear in the coordinates (row-major strides, as
+/// [`HcConfig::cell_index`]), so a row's cells are its hashed
+/// coordinates' offset plus each slab offset; the slab is enumerated
+/// once per router, not per row.
 pub(crate) fn hypercube_router_for(vars: &[VarId], config: &HcConfig, base_seed: u64) -> Router {
-    let k = config.dims().len();
-    // Per-dimension hash seeds (independent h_i per variable).
-    let seeds: Vec<u64> = (0..k).map(|d| hash::dimension_seed(base_seed, d)).collect();
-    // Which dimensions this atom pins, and from which column.
-    let pinned: Vec<Option<usize>> = config
-        .vars()
-        .iter()
-        .map(|&v| vars.iter().position(|&x| x == v))
-        .collect();
-    hypercube_router(config.clone(), pinned, seeds)
+    let dims = config.dims();
+    let mut strides = vec![1usize; dims.len()];
+    for d in (0..dims.len().saturating_sub(1)).rev() {
+        strides[d] = strides[d + 1] * dims[d + 1];
+    }
+    // (column, seed, dimension size, stride) of each pinned dimension.
+    let mut hashed: Vec<(usize, u64, usize, usize)> = Vec::new();
+    let mut slab = vec![0usize];
+    for (d, v) in config.vars().iter().enumerate() {
+        let stride = strides[d];
+        match vars.iter().position(|x| x == v) {
+            Some(col) => hashed.push((col, hash::dimension_seed(base_seed, d), dims[d], stride)),
+            None => {
+                slab = (0..dims[d])
+                    .flat_map(|c| slab.iter().map(move |&o| o + c * stride))
+                    .collect();
+            }
+        }
+    }
+    Arc::new(move |_w, row, dests| {
+        let base: usize = hashed
+            .iter()
+            .map(|&(col, seed, dim, stride)| hash::bucket(row[col], seed, dim) * stride)
+            .sum();
+        dests.extend(slab.iter().map(|&o| base + o));
+    })
 }
 
 /// Regular shuffle: hash-partition on the values of `on` (in sorted
@@ -200,38 +224,6 @@ pub fn hypercube(
     // With no transport (`None`) the in-memory path has no error
     // source. xtask: allow(expect)
     hypercube_via(input, config, label, base_seed, None).expect("local shuffle cannot fail")
-}
-
-/// The [`Router`] of the HyperCube shuffle: hash the pinned dimensions,
-/// enumerate the slab over the free ones (mixed-radix order).
-fn hypercube_router(config: HcConfig, pinned: Vec<Option<usize>>, seeds: Vec<u64>) -> Router {
-    let dims: Vec<usize> = config.dims().to_vec();
-    let k = dims.len();
-    let free_dims: Vec<usize> = (0..k).filter(|&d| pinned[d].is_none()).collect();
-    Arc::new(move |_w, row, dests| {
-        let mut coords = vec![0usize; k];
-        for d in 0..k {
-            if let Some(col) = pinned[d] {
-                coords[d] = hash::bucket(row[col], seeds[d], dims[d]);
-            }
-        }
-        loop {
-            dests.push(config.cell_index(&coords));
-            // Mixed-radix increment over free dims.
-            let mut advanced = false;
-            for &d in &free_dims {
-                coords[d] += 1;
-                if coords[d] < dims[d] {
-                    advanced = true;
-                    break;
-                }
-                coords[d] = 0;
-            }
-            if !advanced {
-                break;
-            }
-        }
-    })
 }
 
 /// [`hypercube`], executed on `rt`'s transport when one is given.
@@ -518,6 +510,60 @@ mod tests {
                     or.parts[w].rows().any(|x| x == rr) && os.parts[w].rows().any(|x| x == sr)
                 });
                 assert!(meet, "tuples {rr:?} ⋈ {sr:?} never meet");
+            }
+        }
+    }
+
+    #[test]
+    fn hypercube_router_matches_coordinate_walk() {
+        // Reference: hash the pinned coordinates, then walk the free ones
+        // in mixed-radix order (first free dimension fastest) through
+        // `cell_index`.
+        let cfg = HcConfig::new(vec![v(0), v(1), v(2), v(3)], vec![2, 3, 1, 2]);
+        for vars in [
+            vec![v(1), v(3)],
+            vec![v(0)],
+            vec![v(2), v(0), v(1), v(3)],
+            vec![v(9)],
+        ] {
+            let router = hypercube_router_for(&vars, &cfg, 11);
+            let k = cfg.dims().len();
+            let pinned: Vec<Option<usize>> = cfg
+                .vars()
+                .iter()
+                .map(|&x| vars.iter().position(|&y| y == x))
+                .collect();
+            for row in edges(30)
+                .rows()
+                .map(|r| vec![r[0], r[1], r[0] ^ 5, r[1] + 2])
+            {
+                let mut got = Vec::new();
+                router(0, &row[..vars.len()], &mut got);
+                let mut coords = vec![0usize; k];
+                for d in 0..k {
+                    if let Some(col) = pinned[d] {
+                        coords[d] =
+                            hash::bucket(row[col], hash::dimension_seed(11, d), cfg.dims()[d]);
+                    }
+                }
+                let mut want = Vec::new();
+                loop {
+                    want.push(cfg.cell_index(&coords));
+                    let free = (0..k).filter(|&d| pinned[d].is_none());
+                    let mut advanced = false;
+                    for d in free {
+                        coords[d] += 1;
+                        if coords[d] < cfg.dims()[d] {
+                            advanced = true;
+                            break;
+                        }
+                        coords[d] = 0;
+                    }
+                    if !advanced {
+                        break;
+                    }
+                }
+                assert_eq!(got, want, "vars {vars:?} row {row:?}");
             }
         }
     }
